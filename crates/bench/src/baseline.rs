@@ -1,17 +1,14 @@
-//! Baseline regression gating: diff a fresh `paper_eval` run against a
-//! committed `BENCH_*.json` document and fail when throughput regressed
-//! beyond budget or the telemetry stack got more expensive than the budget
-//! allows.
-//!
-//! The workspace has no JSON parser (all dependencies are vendored), so the
-//! baseline document is read back the same way it was written: hand-rolled
-//! field extraction over the known `records_to_json` layout — one
-//! `runtime_chain` row per line, numeric fields as `"key":value` pairs.
-//! The extractor is deliberately line-oriented and key-anchored so
-//! unrelated schema growth (new fields, new sections) never breaks old
-//! baselines.
+//! Reading `BENCH_*.json` documents back: the baseline regression gate
+//! (diff a fresh `paper_eval` run against a committed document, fail when
+//! throughput regressed beyond budget or the telemetry stack got more
+//! expensive than the budget allows) and the schema check `paper_eval
+//! --json` runs on the document it just wrote. Both address the document
+//! by path through [`Json`]; the schema is in DESIGN.md, "BENCH documents".
 
-use crate::runtime_bench::{RecoveryRecord, RuntimeBenchRecord, TelemetryBenchRecord};
+use crate::runtime_bench::{
+    RecoveryRecord, RuntimeBenchRecord, TelemetryBenchRecord, KILL_POSITIONS,
+};
+use chc_telemetry::Json;
 use std::fmt::Write as _;
 
 /// Fail the gate when a realtime row's throughput drops more than this many
@@ -50,85 +47,154 @@ pub struct Baseline {
     pub recovery_positions: Vec<(String, f64)>,
 }
 
-/// Extract the string value of `"key":"..."` from one line, if present.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extract the numeric value of `"key":<number>` from one line, if present.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Parse a `BENCH_*.json` document written by
-/// [`crate::runtime_bench::records_to_json`].
+/// [`crate::runtime_bench::records_to_json`]: `scale`, the
+/// `runtime_chain[*]` rows, `telemetry.overhead.overhead_pct` and the
+/// `recovery_by_position[*]` rows. Rows in any other section are never
+/// read, so they are never gated.
 ///
-/// Returns an error when the document carries no recognizable throughput
-/// rows — a truncated or foreign file must fail loudly, not gate nothing.
+/// Returns an error when the document does not parse or carries no
+/// throughput rows — a truncated or foreign file must fail loudly, not gate
+/// nothing.
 pub fn parse_baseline(json: &str) -> Result<Baseline, String> {
-    let scale = json
-        .lines()
-        .find_map(|l| num_field(l, "scale"))
+    let doc = Json::parse(json)?;
+    let scale = doc
+        .path("scale")
+        .and_then(Json::as_f64)
         .ok_or("baseline has no \"scale\" field")?;
-
-    // Throughput rows are the only objects carrying a "substrate" key; the
-    // writer puts one per line inside the "runtime_chain" array.
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let (Some(substrate), Some(batch), Some(pps)) = (
-            str_field(line, "substrate"),
-            num_field(line, "batch_size"),
-            num_field(line, "pps"),
-        ) else {
-            continue;
-        };
-        rows.push(BaselineRow {
-            substrate,
-            batch_size: batch as usize,
-            pps,
-        });
-    }
+    let rows: Vec<BaselineRow> = section(&doc, "runtime_chain")
+        .iter()
+        .filter_map(|r| {
+            Some(BaselineRow {
+                substrate: r.get("substrate")?.as_str()?.to_string(),
+                batch_size: r.get("batch_size")?.as_u64()? as usize,
+                pps: r.get("pps")?.as_f64()?,
+            })
+        })
+        .collect();
     if rows.is_empty() {
         return Err("baseline has no runtime_chain rows (not a paper_eval document?)".to_string());
     }
-
-    // The telemetry record is one (long) line; "overhead_pct" appears only
-    // inside its "overhead" object.
-    let overhead_pct = json.lines().find_map(|l| num_field(l, "overhead_pct"));
-
-    // Recovery rows carry both a "position" and a "recovery_us" key; the
-    // writer puts one per line inside "recovery_by_position". The single
-    // "recovery" record (always the entry kill) matches too — last-wins per
-    // position keeps the sweep's row when both are present.
-    let mut recovery_positions: Vec<(String, f64)> = Vec::new();
-    for line in json.lines() {
-        let (Some(position), Some(us)) =
-            (str_field(line, "position"), num_field(line, "recovery_us"))
-        else {
-            continue;
-        };
-        if let Some(slot) = recovery_positions.iter_mut().find(|(p, _)| *p == position) {
-            slot.1 = us;
-        } else {
-            recovery_positions.push((position, us));
-        }
-    }
-
+    let recovery_positions = section(&doc, "recovery_by_position")
+        .iter()
+        .filter_map(|r| {
+            let position = r.get("position")?.as_str()?.to_string();
+            Some((position, r.get("recovery_us")?.as_f64()?))
+        })
+        .collect();
     Ok(Baseline {
         scale,
         rows,
-        overhead_pct,
+        overhead_pct: doc
+            .path("telemetry.overhead.overhead_pct")
+            .and_then(Json::as_f64),
         recovery_positions,
     })
+}
+
+/// The rows of an array section, or none when the section is absent.
+fn section<'a>(doc: &'a Json, name: &str) -> &'a [Json] {
+    doc.get(name).and_then(Json::as_array).unwrap_or_default()
+}
+
+/// What every `paper_eval --json` document carries, by path.
+const REQUIRED_PATHS: [&str; 11] = [
+    "scale",
+    "runtime_chain.0.pps",
+    "recovery.recovery_us",
+    "recovery_by_position",
+    "telemetry.stages.0.flush_depth",
+    "telemetry.gauges",
+    "telemetry.overhead.overhead_pct",
+    "telemetry.trace_spans",
+    "telemetry.invariant_violations",
+    "store_batch.0.flush_depth_mean",
+    "store_backend.0.replayed_ops",
+];
+
+/// The schema check `paper_eval --json` runs on the document it just wrote
+/// (and on its `--telemetry-jsonl` companion, when one was written). It
+/// requires every section, a `recovery_by_position` row for each of the
+/// four kill positions, at least 6 `store_batch` and 4 `store_backend` rows
+/// with zero `invariant_violations`, `store_backend` rows for both engines,
+/// and a JSONL whose lines parse, strictly increase in `(run, seq)`, and
+/// hold a `replay_complete` and a `failover_end` event. Returns every
+/// problem found; empty means the documents pass.
+pub fn check_bench_document(json: &str, jsonl: Option<&str>) -> Vec<String> {
+    let doc = match Json::parse(json) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("bench document does not parse: {e}")],
+    };
+    let mut problems: Vec<String> = REQUIRED_PATHS
+        .iter()
+        .filter(|p| doc.path(p).is_none())
+        .map(|p| format!("bench document has no {p}"))
+        .collect();
+    let has = |name: &str, key: &str, value: &str| {
+        section(&doc, name)
+            .iter()
+            .any(|r| r.get(key).and_then(Json::as_str) == Some(value))
+    };
+    for position in KILL_POSITIONS {
+        if !has("recovery_by_position", "position", position) {
+            problems.push(format!("recovery_by_position has no '{position}' kill"));
+        }
+    }
+    for (name, min) in [("store_batch", 6), ("store_backend", 4)] {
+        let rows = section(&doc, name);
+        if rows.len() < min {
+            problems.push(format!(
+                "{name} has {} rows, want at least {min}",
+                rows.len()
+            ));
+        }
+        for (i, r) in rows.iter().enumerate() {
+            if r.get("invariant_violations").and_then(Json::as_u64) != Some(0) {
+                problems.push(format!("{name}[{i}] recorded invariant violations"));
+            }
+        }
+    }
+    for backend in ["memory", "append_only"] {
+        if !has("store_backend", "backend", backend) {
+            problems.push(format!("store_backend has no '{backend}' rows"));
+        }
+    }
+    problems.extend(jsonl.map(check_jsonl).unwrap_or_default());
+    problems
+}
+
+fn check_jsonl(jsonl: &str) -> Vec<String> {
+    let lines = match jsonl
+        .lines()
+        .map(Json::parse)
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(lines) => lines,
+        Err(e) => return vec![format!("telemetry JSONL does not parse: {e}")],
+    };
+    let keys: Vec<Option<(&str, u64)>> = lines
+        .iter()
+        .map(|v| Some((v.get("run")?.as_str()?, v.get("seq")?.as_u64()?)))
+        .collect();
+    let mut problems = Vec::new();
+    if let Some(n) = keys.iter().position(Option::is_none) {
+        problems.push(format!("telemetry JSONL line {} has no run and seq", n + 1));
+    }
+    if let Some(n) = keys.windows(2).position(|w| w[0] >= w[1]) {
+        problems.push(format!(
+            "telemetry JSONL line {}: (run, seq) does not increase",
+            n + 2
+        ));
+    }
+    for event in ["replay_complete", "failover_end"] {
+        if !lines
+            .iter()
+            .any(|v| v.get("event").and_then(Json::as_str) == Some(event))
+        {
+            problems.push(format!("telemetry JSONL holds no {event} event"));
+        }
+    }
+    problems
 }
 
 /// Outcome of diffing a fresh run against a baseline: the rendered
@@ -280,7 +346,10 @@ pub fn compare_with_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime_bench::BENCH_CHAIN;
+    use crate::runtime_bench::{
+        records_to_json, telemetry_jsonl, StoreBackendRecord, StoreBatchRecord, BENCH_CHAIN,
+    };
+    use chc_telemetry::{EventJournal, EventKind};
 
     fn record(substrate: &str, batch: usize, pps: f64) -> RuntimeBenchRecord {
         RuntimeBenchRecord {
@@ -380,19 +449,31 @@ mod tests {
         assert!(diff.lines.iter().any(|l| l.contains("no baseline row")));
     }
 
-    #[test]
-    fn telemetry_overhead_budget_gates() {
-        let base = parse_baseline(&baseline_json(50_000.0, 90_000.0)).unwrap();
-        let telem = |enabled: f64| crate::runtime_bench::TelemetryBenchRecord {
+    fn telem(pps_enabled: f64) -> TelemetryBenchRecord {
+        TelemetryBenchRecord {
             batch_size: 8,
             sample_ms: 5,
             e2e_mean_ns: 1.0,
             e2e_p50_ns: 1,
-            report: Default::default(),
-            pps_enabled: enabled,
+            report: chc_runtime::TelemetryReport {
+                stages: vec![chc_runtime::StageReport {
+                    vertex: chc_store::VertexId(1),
+                    queue: Default::default(),
+                    service: Default::default(),
+                    store: Default::default(),
+                    flush_depth: Default::default(),
+                }],
+                ..Default::default()
+            },
+            pps_enabled,
             pps_disabled: 100_000.0,
             invariant_violations: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn telemetry_overhead_budget_gates() {
+        let base = parse_baseline(&baseline_json(50_000.0, 90_000.0)).unwrap();
         let within = compare_with_baseline(
             &base,
             0.05,
@@ -501,6 +582,194 @@ mod tests {
         );
         assert!(!bad.ok());
         assert!(bad.failures[0].contains("mid"));
+    }
+
+    /// What the line-grep reader of earlier revisions read from each
+    /// committed snapshot: runtime_chain pps (batch 8, batch 64, simulator),
+    /// telemetry overhead_pct, and recovery_us per kill position.
+    const COMMITTED: [(&str, [f64; 3], f64, [f64; 4]); 3] = [
+        (
+            include_str!("../../../BENCH_2026-08-08.json"),
+            [85542.8, 88355.6, 696271.2],
+            -1.8,
+            [16218.3, 8276.0, 2619.0, 222717.7],
+        ),
+        (
+            include_str!("../../../BENCH_2026-08-08-store-backend.json"),
+            [89079.0, 99996.9, 696271.2],
+            -10.97,
+            [13216.3, 2504.9, 1108.7, 499742.9],
+        ),
+        (
+            include_str!("../../../BENCH_2026-08-08-store-fastpath.json"),
+            [103933.1, 113287.0, 696271.2],
+            -16.32,
+            [13491.0, 3107.3, 180.7, 241146.6],
+        ),
+    ];
+
+    #[test]
+    fn committed_snapshots_read_as_before() {
+        for (json, pps, overhead, recovery_us) in COMMITTED {
+            let b = parse_baseline(json).unwrap();
+            assert_eq!((b.scale, b.overhead_pct), (1.0, Some(overhead)));
+            let rows: Vec<_> = b
+                .rows
+                .iter()
+                .map(|r| (r.substrate.as_str(), r.batch_size, r.pps))
+                .collect();
+            assert_eq!(
+                rows,
+                [
+                    ("realtime", 8, pps[0]),
+                    ("realtime", 64, pps[1]),
+                    ("simulator", 0, pps[2])
+                ]
+            );
+            let positions: Vec<_> = b
+                .recovery_positions
+                .iter()
+                .map(|(p, us)| (p.as_str(), *us))
+                .collect();
+            assert_eq!(
+                positions,
+                KILL_POSITIONS
+                    .into_iter()
+                    .zip(recovery_us)
+                    .collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn only_runtime_chain_rows_are_gated() {
+        // A store_batch row carrying the throughput-row keys is still not a
+        // runtime_chain row.
+        let row = Json::object([
+            ("substrate", "realtime".into()),
+            ("batch_size", 64u64.into()),
+            ("pps", 1e9.into()),
+        ]);
+        let doc = Json::object([
+            ("scale", 0.05.into()),
+            (
+                "runtime_chain",
+                vec![record("realtime", 8, 5e4).to_json()].into(),
+            ),
+            ("store_batch", vec![row].into()),
+        ]);
+        let base = parse_baseline(&doc.render()).unwrap();
+        assert_eq!(base.rows.len(), 1);
+        assert!(
+            compare_with_baseline(&base, 0.05, &[record("realtime", 64, 1.0)], None, None).ok()
+        );
+    }
+
+    /// A complete document and its JSONL, with the given kill positions and
+    /// one store_batch row per violation count.
+    fn document(positions: &[&str], violations: &[usize]) -> (String, String) {
+        let sweep: Vec<_> = positions.iter().map(|p| recovery(p, 1.0)).collect();
+        let batch: Vec<_> = violations
+            .iter()
+            .map(|&invariant_violations| StoreBatchRecord {
+                write_behind: true,
+                store_batch: 64,
+                ring_batch: 64,
+                ring_wait: "park".into(),
+                packets: 1,
+                pps: 1.0,
+                store_ops: 1,
+                flush_depth_mean: 1.0,
+                invariant_violations,
+            })
+            .collect();
+        let backends =
+            ["memory", "memory", "append_only", "append_only"].map(|b| StoreBackendRecord {
+                backend: b.into(),
+                mode: "ops".into(),
+                shards: 1,
+                threads: 1,
+                ops: 1,
+                wall_s: 1.0,
+                ops_per_sec: 1.0,
+                history: 0,
+                journal_depth: 0,
+                replayed_ops: 0,
+                restart_micros: 0.0,
+                invariant_violations: 0,
+            });
+        // Both runs' journals number from 0; the run tag keeps the JSONL
+        // ordered.
+        let journal = |kinds: &[EventKind]| {
+            let j = EventJournal::new();
+            for &k in kinds {
+                j.record(0, k);
+            }
+            j.snapshot()
+        };
+        let (vertex, index, instance) = (1, 0, 7);
+        let mut entry = recovery("entry", 1.0);
+        entry.events = journal(&[
+            EventKind::ReplayComplete {
+                vertex,
+                index,
+                instance,
+                packets_replayed: 3,
+            },
+            EventKind::FailoverEnd {
+                vertex,
+                index,
+                instance,
+                recovery_ns: 9,
+            },
+        ]);
+        let mut telemetry = telem(1.0);
+        telemetry.report.events = journal(&[EventKind::RootKilled { at_counter: 1 }]);
+        let json = records_to_json(
+            crate::Scale(0.05),
+            &[record("realtime", 8, 5e4)],
+            Some(&entry),
+            Some(&sweep),
+            Some(&telemetry),
+            Some(&batch),
+            Some(&backends),
+        );
+        (json, telemetry_jsonl(&entry, &telemetry))
+    }
+
+    #[test]
+    fn schema_check_passes_a_full_document_and_flags_doctored_ones() {
+        let (json, jsonl) = document(&KILL_POSITIONS, &[0; 6]);
+        assert_eq!(
+            check_bench_document(&json, Some(&jsonl)),
+            Vec::<String>::new()
+        );
+        let check = |positions: &[&str], violations: &[usize]| {
+            check_bench_document(&document(positions, violations).0, None)
+        };
+        assert_eq!(
+            check(&KILL_POSITIONS[..3], &[0; 6]),
+            ["recovery_by_position has no 'root' kill"]
+        );
+        assert_eq!(
+            check(&KILL_POSITIONS, &[0, 0, 0, 0, 1, 0]),
+            ["store_batch[4] recorded invariant violations"]
+        );
+        assert_eq!(
+            check(&KILL_POSITIONS, &[0; 5]),
+            ["store_batch has 5 rows, want at least 6"]
+        );
+        assert_eq!(check_bench_document("{", None).len(), 1, "unparseable");
+        // The JSONL: out-of-order lines, or a missing replay phase, fail.
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let swapped = [lines[1], lines[0], lines[2]].join("\n");
+        let problems = check_bench_document(&json, Some(&swapped));
+        assert_eq!(
+            problems,
+            ["telemetry JSONL line 2: (run, seq) does not increase"]
+        );
+        let problems = check_bench_document(&json, Some(&lines[1..].join("\n")));
+        assert_eq!(problems, ["telemetry JSONL holds no replay_complete event"]);
     }
 
     #[test]

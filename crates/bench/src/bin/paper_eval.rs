@@ -13,12 +13,16 @@
 //! storage-backend comparison (journaled throughput + restart cost vs
 //! journal depth on the in-memory and append-only engines), and writes the
 //! machine-readable records to `path`, so bench trajectories can be
-//! recorded as `BENCH_*.json` files.
+//! recorded as `BENCH_*.json` files. It then re-reads what it wrote and
+//! exits 3 when the document (or the `--telemetry-jsonl` file) fails the
+//! schema check, `chc_bench::check_bench_document`.
 //!
 //! `--trace-out <path>` runs the traced-failover experiment (a kill at
 //! `--trace-kill <entry|mid|tail|root>`, default entry, under full flow
 //! sampling) and writes the validated Chrome trace-event JSON to `path` —
-//! load it at <https://ui.perfetto.dev>.
+//! load it at <https://ui.perfetto.dev>. It exits 3 on sentinel violations,
+//! unnamed lanes, or an instance kill whose export shows no replay
+//! (`TraceRunRecord::problems`).
 //!
 //! `--baseline <path>` diffs this run's records against a prior
 //! `BENCH_*.json` and exits nonzero on a throughput regression beyond 10%,
@@ -26,10 +30,10 @@
 //! row that disappeared or stopped matching the healthy run.
 
 use chc_bench::{
-    compare_with_baseline, parse_baseline, records_to_json, run_all, runtime_chain_experiment,
-    runtime_recovery_by_position_experiment, runtime_recovery_experiment,
+    check_bench_document, compare_with_baseline, parse_baseline, records_to_json, run_all,
+    runtime_chain_experiment, runtime_recovery_by_position_experiment, runtime_recovery_experiment,
     runtime_telemetry_experiment, runtime_trace_experiment_at, scale_for_packets,
-    store_backend_experiment, store_batch_experiment, Scale, KILL_POSITIONS,
+    store_backend_experiment, store_batch_experiment, telemetry_jsonl, Scale, KILL_POSITIONS,
 };
 use std::time::Duration;
 
@@ -43,15 +47,18 @@ Options:
   --only <section>          print only report sections whose header contains <section>
   --json <path>             also run the runtime / recovery / telemetry benchmarks
                             plus the store fast-path sweep (write-behind on/off ×
-                            store batch caps × ring-wait policies) and write
-                            machine-readable records to <path>
+                            store batch caps × ring-wait policies), write
+                            machine-readable records to <path>, and exit 3 when
+                            they fail the schema check
   --sample-ms <u64>         gauge sampling cadence for the telemetry benchmark,
                             in milliseconds (default 5; requires --json)
   --telemetry-jsonl <path>  also write the benchmark runs' event journals and
-                            trace spans as JSON lines to <path> (requires --json)
+                            trace spans as JSON lines to <path>, each tagged
+                            with its run (requires --json)
   --trace-out <path>        run a traced failover (every flow sampled) and write
                             Perfetto-loadable Chrome trace JSON to <path>;
-                            exits nonzero on sentinel violations
+                            exits 3 on sentinel violations, unnamed lanes, or
+                            an instance kill whose export shows no replay
   --trace-kill <position>   chain position the traced failover kills:
                             entry|mid|tail|root (default entry; requires
                             --trace-out)
@@ -64,6 +71,33 @@ Options:
 fn usage_error(msg: &str) -> ! {
     eprintln!("paper_eval: {msg}\n\n{USAGE}");
     std::process::exit(2);
+}
+
+/// Write `contents` to `path`, or exit 1 naming the file.
+fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Read `path`, or exit 1 naming the file.
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("failed to read {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Report `problems` and exit 3 when there are any.
+fn exit_on_problems(what: &str, problems: &[String]) {
+    if problems.is_empty() {
+        return;
+    }
+    for p in problems {
+        eprintln!("paper_eval: {what}: {p}");
+    }
+    std::process::exit(3);
 }
 
 /// The value of flag `args[i]`, or a usage error naming the flag.
@@ -82,7 +116,7 @@ fn main() {
     let mut only: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut sample_ms: u64 = 5;
-    let mut telemetry_jsonl: Option<String> = None;
+    let mut jsonl_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_kill: Option<String> = None;
     let mut baseline_path: Option<String> = None;
@@ -131,7 +165,7 @@ fn main() {
                 i += 2;
             }
             "--telemetry-jsonl" => {
-                telemetry_jsonl = Some(value_of(&args, i).to_string());
+                jsonl_out = Some(value_of(&args, i).to_string());
                 i += 2;
             }
             "--trace-out" => {
@@ -159,7 +193,7 @@ fn main() {
             other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
-    if json_path.is_none() && telemetry_jsonl.is_some() {
+    if json_path.is_none() && jsonl_out.is_some() {
         usage_error("--telemetry-jsonl requires --json");
     }
     if json_path.is_none() && baseline_path.is_some() {
@@ -184,23 +218,12 @@ fn main() {
         let (text, record) = runtime_trace_experiment_at(scale, position);
         println!("==== trace ====");
         println!("{text}");
-        match std::fs::write(path, &record.trace_json) {
-            Ok(()) => println!(
-                "wrote {} trace spans ({} events) to {path} — load at https://ui.perfetto.dev",
-                record.spans, record.shape.events
-            ),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if record.invariant_violations > 0 {
-            eprintln!(
-                "paper_eval: traced failover raised {} invariant violation(s)",
-                record.invariant_violations
-            );
-            std::process::exit(3);
-        }
+        write_or_exit(path, &record.trace_json);
+        println!(
+            "wrote {} trace spans ({} events) to {path} — load at https://ui.perfetto.dev",
+            record.spans, record.shape.events
+        );
+        exit_on_problems("traced failover", &record.problems(position));
         println!();
     }
 
@@ -237,60 +260,28 @@ fn main() {
             Some(&store_batch),
             Some(&store_backend),
         );
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {} bench records to {path}", records.len()),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
+        write_or_exit(path, &json);
+        println!("wrote {} bench records to {path}", records.len());
+        if let Some(jsonl_path) = &jsonl_out {
+            let lines = telemetry_jsonl(&recovery, &telemetry);
+            write_or_exit(jsonl_path, &lines);
+            println!(
+                "wrote {} journal events + trace spans to {jsonl_path}",
+                lines.lines().count()
+            );
         }
-        if let Some(jsonl_path) = &telemetry_jsonl {
-            // One JSONL schema: journal events (invariant violations
-            // included, were any detected) and causal-trace spans side by
-            // side. The spans continue the telemetry run's seq numbering
-            // so the file stays totally ordered per run.
-            let mut lines = String::new();
-            for e in telemetry.report.events.iter().chain(recovery.events.iter()) {
-                lines.push_str(&e.to_json());
-                lines.push('\n');
-            }
-            let seq0 = telemetry
-                .report
-                .events
-                .last()
-                .map(|e| e.seq + 1)
-                .unwrap_or(0);
-            for (i, s) in telemetry.report.trace_spans.iter().enumerate() {
-                lines.push_str(&s.to_json(seq0 + i as u64));
-                lines.push('\n');
-            }
-            match std::fs::write(jsonl_path, &lines) {
-                Ok(()) => println!(
-                    "wrote {} journal events + trace spans to {jsonl_path}",
-                    lines.lines().count()
-                ),
-                Err(e) => {
-                    eprintln!("failed to write {jsonl_path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+        // Check what landed on disk, not the in-memory copy.
+        let jsonl = jsonl_out.as_deref().map(read_or_exit);
+        exit_on_problems(
+            "bench schema check",
+            &check_bench_document(&read_or_exit(path), jsonl.as_deref()),
+        );
         if let Some(base_path) = &baseline_path {
             println!("==== baseline ====");
-            let base_json = match std::fs::read_to_string(base_path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("failed to read {base_path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let base = match parse_baseline(&base_json) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("failed to parse {base_path}: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let base = parse_baseline(&read_or_exit(base_path)).unwrap_or_else(|e| {
+                eprintln!("failed to parse {base_path}: {e}");
+                std::process::exit(1);
+            });
             let diff = compare_with_baseline(
                 &base,
                 scale.0,
@@ -300,13 +291,7 @@ fn main() {
             );
             println!("vs {base_path} (scale {}):", base.scale);
             print!("{}", diff.render());
-            if !diff.ok() {
-                eprintln!(
-                    "paper_eval: baseline gate failed ({} breach(es))",
-                    diff.failures.len()
-                );
-                std::process::exit(3);
-            }
+            exit_on_problems("baseline gate failed", &diff.failures);
         }
         if only.is_none() {
             return;

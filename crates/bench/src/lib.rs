@@ -17,15 +17,15 @@ pub mod faultgen;
 pub mod runtime_bench;
 
 pub use baseline::{
-    compare_with_baseline, parse_baseline, Baseline, BaselineDiff, PPS_REGRESSION_BUDGET_PCT,
-    TELEMETRY_OVERHEAD_BUDGET_PCT,
+    check_bench_document, compare_with_baseline, parse_baseline, Baseline, BaselineDiff,
+    PPS_REGRESSION_BUDGET_PCT, TELEMETRY_OVERHEAD_BUDGET_PCT,
 };
 pub use experiments::*;
 pub use runtime_bench::{
     bench_realtime, bench_simulator, position_plan, records_to_json, runtime_chain_experiment,
     runtime_recovery_by_position_experiment, runtime_recovery_experiment,
     runtime_telemetry_experiment, runtime_trace_experiment, runtime_trace_experiment_at,
-    scale_for_packets, store_backend_experiment, store_batch_experiment, RecoveryRecord,
-    RuntimeBenchRecord, StoreBackendRecord, StoreBatchRecord, TelemetryBenchRecord, TraceRunRecord,
-    BENCH_CHAIN, DEFAULT_BATCH_SIZES, KILL_POSITIONS,
+    scale_for_packets, store_backend_experiment, store_batch_experiment, telemetry_jsonl,
+    RecoveryRecord, RuntimeBenchRecord, StoreBackendRecord, StoreBatchRecord, TelemetryBenchRecord,
+    TraceRunRecord, BENCH_CHAIN, DEFAULT_BATCH_SIZES, KILL_POSITIONS,
 };

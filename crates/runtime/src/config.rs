@@ -156,12 +156,6 @@ pub struct RuntimeConfig {
     /// What to measure beyond the end-to-end latency histogram (spans,
     /// event journal, gauge sampling). See [`TelemetryConfig`].
     pub telemetry: TelemetryConfig,
-    /// Legacy failover validation: reject kills at non-entry vertices
-    /// (`KillNotAtEntry`) and at on-path chain tails (`KillAtChainTail`), as
-    /// the engine did before per-vertex egress logs and the XOR delete
-    /// window made every position recoverable. Off by default; kept as an
-    /// escape hatch for reproducing the old entry-only behaviour.
-    pub legacy_entry_only_failover: bool,
     /// Write-behind store fast path: each instance's `StateClient` buffers
     /// non-blocking store ops and drains them as one
     /// [`chc_store::StoreServer::apply_batch`] per ring batch (and before
@@ -193,7 +187,6 @@ impl Default for RuntimeConfig {
             clock_tag_updates: true,
             fault: FaultPlan::default(),
             telemetry: TelemetryConfig::default(),
-            legacy_entry_only_failover: false,
             write_behind: true,
             store_batch: 0,
             ring_wait: RingWait::Park,
@@ -263,13 +256,6 @@ impl RuntimeConfig {
     /// Builder-style invariant-sentinel switch.
     pub fn with_sentinel(mut self, on: bool) -> RuntimeConfig {
         self.telemetry.sentinel = on;
-        self
-    }
-
-    /// Builder-style switch back to the legacy entry-only failover
-    /// validation (rejects non-entry and tail kills).
-    pub fn with_legacy_entry_only_failover(mut self, on: bool) -> RuntimeConfig {
-        self.legacy_entry_only_failover = on;
         self
     }
 

@@ -92,18 +92,6 @@ pub enum RuntimeError {
     UnknownScaleVertex(VertexId),
     /// A fault-plan kill names a vertex not present in the DAG.
     UnknownFaultVertex(VertexId),
-    /// Legacy rejection, raised only under
-    /// [`RuntimeConfig::legacy_entry_only_failover`]: a fault-plan kill
-    /// targets a non-entry vertex. The engine now restores any vertex from
-    /// its upstream egress logs; this error reproduces the old entry-only
-    /// behaviour for comparison runs.
-    KillNotAtEntry(VertexId),
-    /// Legacy rejection, raised only under
-    /// [`RuntimeConfig::legacy_entry_only_failover`]: a fault-plan kill
-    /// targets a vertex that delivers directly to the end host. The XOR
-    /// delete ledger now bounds a tail replacement's re-delivery window, so
-    /// tail kills are accepted by default.
-    KillAtChainTail(VertexId),
     /// A fault-plan kill names an instance index the vertex does not have.
     FaultIndexOutOfRange {
         /// The targeted vertex.
@@ -162,22 +150,6 @@ impl std::fmt::Display for RuntimeError {
             }
             RuntimeError::UnknownFaultVertex(v) => {
                 write!(f, "fault plan references unknown vertex {v}")
-            }
-            RuntimeError::KillNotAtEntry(v) => {
-                write!(
-                    f,
-                    "fault plan kills vertex {v}, which is not a chain entry; \
-                     legacy_entry_only_failover restricts replay to \
-                     entry-vertex instances"
-                )
-            }
-            RuntimeError::KillAtChainTail(v) => {
-                write!(
-                    f,
-                    "fault plan kills vertex {v}, which outputs directly to the \
-                     end host; legacy_entry_only_failover predates the XOR \
-                     delete window that bounds tail re-deliveries"
-                )
             }
             RuntimeError::FaultIndexOutOfRange {
                 vertex,
@@ -546,16 +518,6 @@ pub fn run_chain_realtime(
         let Some(v) = dag.vertex(kill.vertex) else {
             return Err(RuntimeError::UnknownFaultVertex(kill.vertex));
         };
-        if rt.legacy_entry_only_failover {
-            // Escape hatch reproducing the pre-egress-log engine: only
-            // entry, non-tail vertices were recoverable then.
-            if !entries.contains(&kill.vertex) {
-                return Err(RuntimeError::KillNotAtEntry(kill.vertex));
-            }
-            if exits.contains(&kill.vertex) && !v.off_path {
-                return Err(RuntimeError::KillAtChainTail(kill.vertex));
-            }
-        }
         let slots = by_vertex
             .get(&kill.vertex)
             .map(Vec::as_slice)
@@ -1098,6 +1060,9 @@ pub fn run_chain_realtime(
                                 link.flush();
                             }
                         }
+                        // Takeover ends here: the suffix is back in the
+                        // rings and live injection resumes next.
+                        let recovery_wall = started.elapsed();
                         let resumed_at = io.counter + 1;
                         telemetry.event(EventKind::RootTakeover {
                             resumed_at,
@@ -1111,7 +1076,7 @@ pub fn run_chain_realtime(
                             killed_at: kill_at,
                             resumed_at,
                             packets_replayed: replayed,
-                            recovery_wall: started.elapsed(),
+                            recovery_wall,
                         };
                         (io.counter, reinjected, shard_recs, Some(takeover))
                     },

@@ -339,28 +339,9 @@ fn fault_plans_are_validated() {
         run_with(FaultPlan::new().kill(VertexId(9), 0, 10), id),
         Err(RuntimeError::UnknownFaultVertex(VertexId(9)))
     );
-    // Non-entry and tail kills are accepted by default (per-vertex egress
-    // logs replay at the right depth, the XOR delete window bounds tail
-    // re-delivery); the old rejections survive only behind the legacy flag.
+    // Non-entry and tail kills are accepted (per-vertex egress logs replay
+    // at the right depth, the XOR delete window bounds tail re-delivery).
     assert_eq!(run_with(FaultPlan::new().kill(NAT, 0, 10), id), Ok(()));
-    assert_eq!(
-        run_with(FaultPlan::new().kill(NAT, 0, 10), |rt| {
-            rt.with_legacy_entry_only_failover(true)
-        }),
-        Err(RuntimeError::KillNotAtEntry(NAT))
-    );
-    assert_eq!(
-        run_chain_realtime(
-            &nat_only(),
-            cfg,
-            &RuntimeConfig::with_batch_size(8)
-                .with_fault(FaultPlan::new().kill(NAT, 0, 10))
-                .with_legacy_entry_only_failover(true),
-            &trace,
-        )
-        .map(|_| ()),
-        Err(RuntimeError::KillAtChainTail(NAT))
-    );
     assert_eq!(
         run_with(FaultPlan::new().kill_root(0), id),
         Err(RuntimeError::KillOutsideTrace {
@@ -540,8 +521,8 @@ fn tail_kill_in_a_three_nf_chain_replays_from_the_nat_log() {
 
 #[test]
 fn entry_and_tail_single_vertex_kill_recovers() {
-    // A single-NF chain's vertex is entry *and* tail — the position the old
-    // engine rejected outright (`KillAtChainTail`). Replay comes from the
+    // A single-NF chain's vertex is entry *and* tail — the position the
+    // entry-only engine of earlier revisions rejected. Replay comes from the
     // root log and the XOR delete window plus sink-side replay suppression
     // keep the end host exactly-once.
     let trace = trace_for(29);
@@ -600,6 +581,35 @@ fn root_kill_hands_injection_to_the_warm_standby() {
         "the standby must resume exactly where the root died"
     );
     assert!(takeover.recovery_wall.as_nanos() > 0);
+}
+
+#[test]
+fn root_takeover_time_excludes_the_rest_of_the_trace() {
+    // The takeover ends when the standby has replayed the unconfirmed suffix
+    // and resumes live injection; injecting the remaining ~90% of the trace
+    // is ordinary work, not recovery.
+    let trace = TraceGenerator::new(TraceConfig {
+        seed: 41,
+        connections: 1_000,
+        mean_packets_per_connection: 16,
+        ..TraceConfig::default()
+    })
+    .generate();
+    let kill_at = (trace.len() / 10) as u64;
+    let faulted = run(
+        &fw_nat_lb(),
+        ChainConfig::default(),
+        RuntimeConfig::with_batch_size(8).with_fault(FaultPlan::new().kill_root(kill_at)),
+        &trace,
+    );
+    let fault = faulted.fault.as_ref().expect("fault report missing");
+    let takeover = fault.root_takeover.expect("takeover record missing");
+    assert!(
+        takeover.recovery_wall < faulted.elapsed / 2,
+        "takeover {:?} of a {:?} run",
+        takeover.recovery_wall,
+        faulted.elapsed
+    );
 }
 
 #[test]

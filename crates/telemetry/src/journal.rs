@@ -4,9 +4,10 @@
 //!
 //! Events carry raw numeric ids (`u32` vertex ids, `u64` instance ids)
 //! rather than runtime types so this crate stays dependency-free and below
-//! every other CHC layer. Rendering is hand-rolled JSONL (the workspace has
-//! no JSON serializer for arbitrary values).
+//! every other CHC layer. Each event renders as one [`Json`] object, which
+//! `paper_eval --telemetry-jsonl` writes as one JSONL line.
 
+use crate::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -128,38 +129,27 @@ pub struct Event {
 }
 
 impl Event {
-    /// Render as a single JSON object (one JSONL line, no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"seq\":{},\"t_ns\":{},\"event\":\"{}\"",
-            self.seq,
-            self.t_ns,
-            self.kind.name()
-        );
-        use std::fmt::Write as _;
+    /// This event as one JSON object (one JSONL line once rendered).
+    pub fn to_json(&self) -> Json {
+        let mut fields: Vec<(&str, Json)> = vec![
+            ("seq", self.seq.into()),
+            ("t_ns", self.t_ns.into()),
+            ("event", self.kind.name().into()),
+        ];
+        let slot = |vertex: u32, index: u32, instance: u64| {
+            [
+                ("vertex", vertex.into()),
+                ("index", index.into()),
+                ("instance", instance.into()),
+            ]
+        };
         match self.kind {
             EventKind::InstanceSpawn {
                 vertex,
                 index,
                 instance,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"vertex\":{vertex},\"index\":{index},\"instance\":{instance}"
-                );
             }
-            EventKind::InstanceKilled {
-                vertex,
-                index,
-                instance,
-                clock,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"vertex\":{vertex},\"index\":{index},\"instance\":{instance},\"clock\":{clock}"
-                );
-            }
-            EventKind::FailoverBegin {
+            | EventKind::FailoverBegin {
                 vertex,
                 index,
                 instance,
@@ -173,11 +163,15 @@ impl Event {
                 vertex,
                 index,
                 instance,
+            } => fields.extend(slot(vertex, index, instance)),
+            EventKind::InstanceKilled {
+                vertex,
+                index,
+                instance,
+                clock,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"vertex\":{vertex},\"index\":{index},\"instance\":{instance}"
-                );
+                fields.extend(slot(vertex, index, instance));
+                fields.push(("clock", clock.into()));
             }
             EventKind::ReplayComplete {
                 vertex,
@@ -185,10 +179,8 @@ impl Event {
                 instance,
                 packets_replayed,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"vertex\":{vertex},\"index\":{index},\"instance\":{instance},\"packets_replayed\":{packets_replayed}"
-                );
+                fields.extend(slot(vertex, index, instance));
+                fields.push(("packets_replayed", packets_replayed.into()));
             }
             EventKind::FailoverEnd {
                 vertex,
@@ -196,49 +188,44 @@ impl Event {
                 instance,
                 recovery_ns,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"vertex\":{vertex},\"index\":{index},\"instance\":{instance},\"recovery_ns\":{recovery_ns}"
-                );
+                fields.extend(slot(vertex, index, instance));
+                fields.push(("recovery_ns", recovery_ns.into()));
             }
             EventKind::CommitFrontier { frontier, dropped } => {
-                let _ = write!(s, ",\"frontier\":{frontier},\"dropped\":{dropped}");
+                fields.extend([("frontier", frontier.into()), ("dropped", dropped.into())]);
             }
             EventKind::ScaleCut { vertex, at_counter } => {
-                let _ = write!(s, ",\"vertex\":{vertex},\"at_counter\":{at_counter}");
+                fields.extend([("vertex", vertex.into()), ("at_counter", at_counter.into())]);
             }
             EventKind::ShardRestart {
                 shard,
                 ops_replayed,
             } => {
-                let _ = write!(s, ",\"shard\":{shard},\"ops_replayed\":{ops_replayed}");
+                fields.extend([
+                    ("shard", shard.into()),
+                    ("ops_replayed", ops_replayed.into()),
+                ]);
             }
-            EventKind::RootKilled { at_counter } => {
-                let _ = write!(s, ",\"at_counter\":{at_counter}");
-            }
+            EventKind::RootKilled { at_counter } => fields.push(("at_counter", at_counter.into())),
             EventKind::RootTakeover {
                 resumed_at,
                 packets_replayed,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"resumed_at\":{resumed_at},\"packets_replayed\":{packets_replayed}"
-                );
-            }
+            } => fields.extend([
+                ("resumed_at", resumed_at.into()),
+                ("packets_replayed", packets_replayed.into()),
+            ]),
             EventKind::InvariantViolation {
                 code,
                 observed,
                 expected,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"invariant\":\"{}\",\"code\":{code},\"observed\":{observed},\"expected\":{expected}",
-                    crate::sentinel::invariant_name(code)
-                );
-            }
+            } => fields.extend([
+                ("invariant", crate::sentinel::invariant_name(code).into()),
+                ("code", code.into()),
+                ("observed", observed.into()),
+                ("expected", expected.into()),
+            ]),
         }
-        s.push('}');
-        s
+        Json::object(fields)
     }
 }
 
@@ -300,22 +287,6 @@ impl EventJournal {
         out.sort_by_key(|e| e.seq);
         out
     }
-
-    /// Render the whole journal as JSONL (one event per line, trailing
-    /// newline included when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.snapshot() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write the journal as JSONL to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 #[cfg(test)]
@@ -353,15 +324,14 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
 
-        let jsonl = j.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"event\":\"instance_killed\""));
-        assert!(lines[0].contains("\"clock\":42"));
-        assert!(lines[2].contains("\"frontier\":40"));
-        for l in lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
+        let lines: Vec<Json> = events
+            .iter()
+            .map(|e| Json::parse(&e.to_json().render()).unwrap())
+            .collect();
+        assert_eq!(lines[0].get("event"), Some(&Json::from("instance_killed")));
+        assert_eq!(lines[0].get("clock"), Some(&Json::from(42u64)));
+        assert_eq!(lines[2].get("frontier"), Some(&Json::from(40u64)));
+        assert_eq!(lines[2].get("seq"), Some(&Json::from(2u64)));
     }
 
     #[test]

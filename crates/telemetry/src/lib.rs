@@ -15,6 +15,8 @@
 //! * [`EventJournal`] — append-only structured journal of control-plane
 //!   events (spawns, kills, failover phases, commit-frontier advances),
 //!   renderable as JSONL for post-hoc debugging of failover runs.
+//! * [`Json`] — the one JSON value type: every document the workspace
+//!   writes is built as one, and every document it reads is parsed by it.
 //! * [`trace`] — flow-sampled causal tracing: per-hop [`SpanEvent`]s in a
 //!   bounded [`TraceCollector`], exported as Chrome trace-event JSON
 //!   (Perfetto-loadable) with a shape validator for CI.
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 mod journal;
+mod json;
 mod metrics;
 mod registry;
 pub mod sentinel;
@@ -33,6 +36,7 @@ mod series;
 pub mod trace;
 
 pub use journal::{Event, EventJournal, EventKind};
+pub use json::Json;
 pub use metrics::{Counter, Gauge, HistSummary, StreamingHistogram};
 pub use registry::MetricsRegistry;
 pub use sentinel::{

@@ -30,6 +30,7 @@
 //! timestamp-monotone and properly nested; the exporter relies on this
 //! instead of re-sorting, and [`validate_chrome_trace`] checks it.
 
+use crate::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -118,6 +119,26 @@ impl SpanKind {
             SpanKind::Deliver { .. } => "deliver",
         }
     }
+
+    /// The kind's arguments, shared by the JSONL line and the Chrome export.
+    fn args(&self) -> Vec<(&'static str, Json)> {
+        match *self {
+            SpanKind::Service {
+                queue_wait_ns,
+                store_ns,
+                replay,
+            } => vec![
+                ("queue_wait_ns", queue_wait_ns.into()),
+                ("store_ns", store_ns.into()),
+                ("replay", u8::from(replay).into()),
+            ],
+            SpanKind::Deliver { wait_ns, duplicate } => vec![
+                ("wait_ns", wait_ns.into()),
+                ("duplicate", u8::from(duplicate).into()),
+            ],
+            SpanKind::Inject | SpanKind::Suppress | SpanKind::ReplayInject => Vec::new(),
+        }
+    }
 }
 
 /// One recorded span.
@@ -136,43 +157,21 @@ pub struct SpanEvent {
 }
 
 impl SpanEvent {
-    /// Render as one JSONL line in the journal schema (`seq`, `t_ns`,
+    /// This span as one JSONL object in the journal schema (`seq`, `t_ns`,
     /// `event`), so trace spans and journal events share one consumer
-    /// format. `seq` continues the journal's global numbering.
-    pub fn to_json(&self, seq: u64) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "{{\"seq\":{},\"t_ns\":{},\"event\":\"trace_span\",\"trace_id\":{},\"span\":\"{}\",\"lane\":\"{}\",\"dur_ns\":{}",
-            seq,
-            self.t_ns,
-            self.trace_id,
-            self.kind.name(),
-            self.lane.label(),
-            self.dur_ns
-        );
-        match self.kind {
-            SpanKind::Service {
-                queue_wait_ns,
-                store_ns,
-                replay,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"queue_wait_ns\":{queue_wait_ns},\"store_ns\":{store_ns},\"replay\":{}",
-                    replay as u8
-                );
-            }
-            SpanKind::Deliver { wait_ns, duplicate } => {
-                let _ = write!(
-                    s,
-                    ",\"wait_ns\":{wait_ns},\"duplicate\":{}",
-                    duplicate as u8
-                );
-            }
-            SpanKind::Inject | SpanKind::Suppress | SpanKind::ReplayInject => {}
-        }
-        s.push('}');
-        s
+    /// format. `seq` continues the run's journal numbering.
+    pub fn to_json(&self, seq: u64) -> Json {
+        let mut fields = vec![
+            ("seq", seq.into()),
+            ("t_ns", self.t_ns.into()),
+            ("event", "trace_span".into()),
+            ("trace_id", self.trace_id.into()),
+            ("span", self.kind.name().into()),
+            ("lane", self.lane.label().into()),
+            ("dur_ns", self.dur_ns.into()),
+        ];
+        fields.extend(self.kind.args());
+        Json::object(fields)
     }
 }
 
@@ -255,12 +254,16 @@ pub struct TraceShape {
     pub begins: usize,
     /// `E` (span end) events.
     pub ends: usize,
-    /// Distinct lanes (`tid`s).
+    /// Distinct lanes (`tid`s) carrying events.
     pub lanes: usize,
+    /// Lanes named by `thread_name` metadata.
+    pub named_lanes: usize,
+    /// Whether a lane named `supervisor` carries events.
+    pub supervisor_lane: bool,
 }
 
 /// Render spans as Chrome trace-event JSON (the `traceEvents` object form
-/// Perfetto and `chrome://tracing` load directly).
+/// Perfetto and `chrome://tracing` load directly), one event per line.
 ///
 /// Events are grouped by lane and emitted in record order within each lane,
 /// which per the collector's single-writer-per-lane discipline yields
@@ -269,7 +272,6 @@ pub struct TraceShape {
 /// Instant hops are zero-length `B`/`E` pairs; a `service` span with store
 /// time nests a `store` child at its start.
 pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
-    use std::fmt::Write as _;
     let mut tids: Vec<(u64, TraceLane)> = Vec::new();
     for s in spans {
         let tid = s.lane.tid();
@@ -279,156 +281,117 @@ pub fn chrome_trace_json(spans: &[SpanEvent]) -> String {
     }
     tids.sort_by_key(|(t, _)| *t);
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    let mut first = true;
-    let push = |out: &mut String, line: &str, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(line);
+    let event = |ph: &str, tid: u64, more: Vec<(&str, Json)>| {
+        let mut fields = vec![("ph", ph.into()), ("pid", 1u8.into()), ("tid", tid.into())];
+        fields.extend(more);
+        Json::object(fields)
     };
-
-    for (tid, lane) in &tids {
-        push(
-            &mut out,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                lane.label()
-            ),
-            &mut first,
-        );
-    }
-
-    let us = |ns: u64| format!("{}.{:03}", ns / 1000, ns % 1000);
+    let ts = |ns: u64| ("ts", Json::Float(ns as f64 / 1e3));
+    let mut events: Vec<Json> = tids
+        .iter()
+        .map(|(tid, lane)| {
+            let args = Json::object([("name", lane.label().into())]);
+            event(
+                "M",
+                *tid,
+                vec![("name", "thread_name".into()), ("args", args)],
+            )
+        })
+        .collect();
     for (tid, _) in &tids {
         for s in spans.iter().filter(|s| s.lane.tid() == *tid) {
-            let t0 = us(s.t_ns);
-            let t1 = us(s.t_ns + s.dur_ns);
-            let mut begin = format!(
-                "{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{t0},\"name\":\"{}\",\
-                 \"args\":{{\"trace_id\":{}",
-                s.kind.name(),
-                s.trace_id
-            );
-            match s.kind {
-                SpanKind::Service {
-                    queue_wait_ns,
-                    store_ns,
-                    replay,
-                } => {
-                    let _ = write!(
-                        begin,
-                        ",\"queue_wait_ns\":{queue_wait_ns},\"store_ns\":{store_ns},\"replay\":{}",
-                        replay as u8
-                    );
-                }
-                SpanKind::Deliver { wait_ns, duplicate } => {
-                    let _ = write!(
-                        begin,
-                        ",\"wait_ns\":{wait_ns},\"duplicate\":{}",
-                        duplicate as u8
-                    );
-                }
-                SpanKind::Inject | SpanKind::Suppress | SpanKind::ReplayInject => {}
-            }
-            begin.push_str("}}");
-            push(&mut out, &begin, &mut first);
-
+            let begin = |name: &str, args: Vec<(&str, Json)>| {
+                let mut all = vec![("trace_id", s.trace_id.into())];
+                all.extend(args);
+                let more = vec![
+                    ts(s.t_ns),
+                    ("name", name.into()),
+                    ("args", Json::object(all)),
+                ];
+                event("B", *tid, more)
+            };
+            events.push(begin(s.kind.name(), s.kind.args()));
             if let SpanKind::Service { store_ns, .. } = s.kind {
                 // Nest the store child at the span start; its exact offsets
                 // inside the service window are not recorded (store RTT is
                 // accumulated per packet), only its total share.
                 let store_ns = store_ns.min(s.dur_ns);
                 if store_ns > 0 {
-                    let tstore = us(s.t_ns + store_ns);
-                    push(
-                        &mut out,
-                        &format!(
-                            "{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{t0},\
-                             \"name\":\"store\",\"args\":{{\"trace_id\":{}}}}}",
-                            s.trace_id
-                        ),
-                        &mut first,
-                    );
-                    push(
-                        &mut out,
-                        &format!("{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{tstore}}}"),
-                        &mut first,
-                    );
+                    events.push(begin("store", Vec::new()));
+                    events.push(event("E", *tid, vec![ts(s.t_ns + store_ns)]));
                 }
             }
-            push(
-                &mut out,
-                &format!("{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{t1}}}"),
-                &mut first,
-            );
+            events.push(event("E", *tid, vec![ts(s.t_ns + s.dur_ns)]));
         }
     }
-    out.push_str("\n]}\n");
-    out
+    Json::object([
+        ("displayTimeUnit", "ns".into()),
+        ("traceEvents", Json::Array(events)),
+    ])
+    .render_lines()
 }
 
 /// Validate the shape of a Chrome trace-event JSON document produced by
-/// [`chrome_trace_json`] (one event object per line): every `E` closes an
-/// open `B` on the same `tid`, every `tid`'s stack is empty at the end, and
-/// timestamps never regress within a `tid`. Returns the counted
-/// [`TraceShape`] or a description of the first problem.
+/// [`chrome_trace_json`]: it parses, every `E` closes an open `B` on the
+/// same `tid`, every `tid`'s stack is empty at the end, and timestamps
+/// never regress within a `tid`. Returns the counted [`TraceShape`] (lane
+/// names included) or a description of the first problem.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
     use std::collections::HashMap;
-    let field = |line: &str, key: &str| -> Option<String> {
-        let pat = format!("\"{key}\":");
-        let at = line.find(&pat)? + pat.len();
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"').to_string())
-    };
+    let doc = Json::parse(json)?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .ok_or("document has no traceEvents array")?;
 
     let mut shape = TraceShape::default();
-    let mut stacks: HashMap<u64, Vec<String>> = HashMap::new();
+    let mut stacks: HashMap<u64, Vec<&str>> = HashMap::new();
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
-    for (lineno, line) in json.lines().enumerate() {
-        let Some(ph) = field(line, "ph") else {
-            continue;
+    let mut names: HashMap<u64, &str> = HashMap::new();
+    for (i, e) in events.iter().enumerate() {
+        let field = |key: &str| {
+            e.get(key)
+                .ok_or_else(|| format!("traceEvents[{i}]: event without {key}"))
         };
+        let ph = field("ph")?.as_str().unwrap_or_default();
+        let tid = field("tid")?
+            .as_u64()
+            .ok_or(format!("traceEvents[{i}]: bad tid"))?;
         if ph == "M" {
+            if e.get("name").and_then(Json::as_str) == Some("thread_name") {
+                names.insert(
+                    tid,
+                    e.path("args.name").and_then(Json::as_str).unwrap_or(""),
+                );
+            }
             continue;
         }
-        let tid: u64 = field(line, "tid")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("line {}: event without tid", lineno + 1))?;
-        let ts: f64 = field(line, "ts")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("line {}: event without ts", lineno + 1))?;
+        let ts = field("ts")?
+            .as_f64()
+            .ok_or(format!("traceEvents[{i}]: bad ts"))?;
         shape.events += 1;
         let prev = last_ts.entry(tid).or_insert(ts);
         if ts < *prev {
             return Err(format!(
-                "line {}: ts regressed on tid {tid}: {ts} after {prev}",
-                lineno + 1
+                "traceEvents[{i}]: ts regressed on tid {tid}: {ts} after {prev}"
             ));
         }
         *prev = ts;
-        match ph.as_str() {
+        let stack = stacks.entry(tid).or_default();
+        match ph {
             "B" => {
                 shape.begins += 1;
-                let name = field(line, "name").unwrap_or_default();
-                stacks.entry(tid).or_default().push(name);
+                stack.push(e.get("name").and_then(Json::as_str).unwrap_or_default());
             }
             "E" => {
                 shape.ends += 1;
-                let stack = stacks.entry(tid).or_default();
                 if stack.pop().is_none() {
                     return Err(format!(
-                        "line {}: E without matching B on tid {tid}",
-                        lineno + 1
+                        "traceEvents[{i}]: E without matching B on tid {tid}"
                     ));
                 }
             }
-            other => {
-                return Err(format!("line {}: unexpected phase {other:?}", lineno + 1));
-            }
+            other => return Err(format!("traceEvents[{i}]: unexpected phase {other:?}")),
         }
     }
     for (tid, stack) in &stacks {
@@ -441,12 +404,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
         }
     }
     shape.lanes = stacks.len();
-    if shape.begins != shape.ends {
-        return Err(format!(
-            "unbalanced events: {} B vs {} E",
-            shape.begins, shape.ends
-        ));
-    }
+    shape.named_lanes = stacks.keys().filter(|t| names.contains_key(t)).count();
+    shape.supervisor_lane = stacks.keys().any(|t| names.get(t) == Some(&"supervisor"));
     Ok(shape)
 }
 
@@ -510,37 +469,60 @@ mod tests {
         assert_eq!(shape.ends, 4);
         assert_eq!(shape.events, 8);
         assert_eq!(shape.lanes, 3);
-        assert!(json.contains("\"thread_name\""));
+        assert_eq!(shape.named_lanes, 3);
+        assert!(!shape.supervisor_lane);
         assert!(json.contains("v1.inst3"));
         assert!(json.contains("\"trace_id\":7"));
     }
 
     #[test]
     fn validator_rejects_regressions_and_imbalance() {
+        let ev = |ph: &str, ts: f64| {
+            Json::object([
+                ("ph", ph.into()),
+                ("tid", 5u64.into()),
+                ("ts", ts.into()),
+                ("name", "a".into()),
+            ])
+        };
+        let doc = |events: Vec<Json>| Json::object([("traceEvents", events.into())]).render();
         // ts regression within one tid.
-        let bad = "{\"ph\":\"B\",\"pid\":1,\"tid\":5,\"ts\":10.0,\"name\":\"a\"}\n\
-                   {\"ph\":\"E\",\"pid\":1,\"tid\":5,\"ts\":9.0}\n";
-        assert!(validate_chrome_trace(bad)
+        let bad = doc(vec![ev("B", 10.0), ev("E", 9.0)]);
+        assert!(validate_chrome_trace(&bad)
             .unwrap_err()
             .contains("regressed"));
         // E without B.
-        let bad = "{\"ph\":\"E\",\"pid\":1,\"tid\":5,\"ts\":9.0}\n";
-        assert!(validate_chrome_trace(bad)
+        let bad = doc(vec![ev("E", 9.0)]);
+        assert!(validate_chrome_trace(&bad)
             .unwrap_err()
             .contains("without matching B"));
         // Unclosed span.
-        let bad = "{\"ph\":\"B\",\"pid\":1,\"tid\":5,\"ts\":9.0,\"name\":\"a\"}\n";
-        assert!(validate_chrome_trace(bad).unwrap_err().contains("unclosed"));
+        let bad = doc(vec![ev("B", 9.0)]);
+        assert!(validate_chrome_trace(&bad)
+            .unwrap_err()
+            .contains("unclosed"));
+        // Not a trace document at all.
+        assert!(validate_chrome_trace("[]").is_err());
+        assert!(validate_chrome_trace("{\"traceEvents\":[").is_err());
+        // Balanced but unnamed lanes are reported, not rejected.
+        let shape = validate_chrome_trace(&doc(vec![ev("B", 1.0), ev("E", 2.0)])).unwrap();
+        assert_eq!((shape.lanes, shape.named_lanes), (1, 0));
+        assert!(!shape.supervisor_lane);
     }
 
     #[test]
     fn jsonl_lines_share_the_journal_schema() {
-        let line = service(42, 1, 10, 20, 5).to_json(9);
-        assert!(line.starts_with("{\"seq\":9,\"t_ns\":10,\"event\":\"trace_span\""));
-        assert!(line.contains("\"trace_id\":42"));
-        assert!(line.contains("\"span\":\"service\""));
-        assert!(line.contains("\"queue_wait_ns\":40"));
-        assert!(line.ends_with('}'));
+        let line = Json::parse(&service(42, 1, 10, 20, 5).to_json(9).render()).unwrap();
+        for (key, want) in [
+            ("seq", Json::from(9u64)),
+            ("t_ns", 10u64.into()),
+            ("event", "trace_span".into()),
+            ("trace_id", 42u64.into()),
+            ("span", "service".into()),
+            ("queue_wait_ns", 40u64.into()),
+        ] {
+            assert_eq!(line.get(key), Some(&want), "{key}");
+        }
     }
 
     #[test]
